@@ -520,7 +520,7 @@ fn overhead_run(spec: &TraceSpec, durable: bool) -> Result<OverheadRow, String> 
     } else {
         None
     };
-    let core = ServeCore::start(spec.serve_config(dir.as_ref().map(|d| d.0.as_path())));
+    let mut core = ServeCore::start(spec.serve_config(dir.as_ref().map(|d| d.0.as_path())));
     let t0 = Instant::now();
     for group in spec.request_groups() {
         for req in group {
@@ -531,8 +531,10 @@ fn overhead_run(spec: &TraceSpec, durable: bool) -> Result<OverheadRow, String> 
         }
     }
     let wall_us = t0.elapsed().as_micros() as u64;
+    // Checkpoints are written behind the replies: count them only once
+    // the writer has drained.
+    core.stop();
     let d = core.durable_stats();
-    core.shutdown();
     Ok(OverheadRow {
         wall_us,
         wal_appends: d.wal_appends,

@@ -41,7 +41,7 @@ struct ServeArgs {
 fn parse(args: &[String], default_duration_s: f64) -> Result<ServeArgs, String> {
     let flags: HashMap<String, String> = parse_flags(args)?;
     for key in flags.keys() {
-        const KNOWN: [&str; 27] = [
+        const KNOWN: [&str; 26] = [
             "dispatch",
             "overlap",
             "lookahead",
@@ -58,7 +58,6 @@ fn parse(args: &[String], default_duration_s: f64) -> Result<ServeArgs, String> 
             "wire",
             "queue-capacity",
             "max-batch",
-            "max-delay-us",
             "connections",
             "rate",
             "duration-s",
@@ -122,7 +121,6 @@ fn parse(args: &[String], default_duration_s: f64) -> Result<ServeArgs, String> 
         shard_assignment,
         queue_capacity: num(&flags, "queue-capacity", 256)?,
         max_batch: num(&flags, "max-batch", 8)?,
-        max_delay_us: num(&flags, "max-delay-us", 500)?,
         incremental_planning: incremental != 0,
         overlap: overlap != 0,
         lookahead: num(&flags, "lookahead", 1)?,
@@ -694,7 +692,7 @@ fn render_report(
             r#", "vertices": {}, "edges": {}, "feature_dim": {}, "snapshots": {}, "#,
             r#""graph_seed": {}, "model": "{}", "hidden": {}, "window": {}, "#,
             r#""shards": {}, "wire": "{}", "queue_capacity": {}, "max_batch": {}, "#,
-            r#""max_delay_us": {}, "connections": {}, "rate": "#
+            r#""connections": {}, "rate": "#
         ),
         a.graph.num_vertices,
         a.graph.num_edges,
@@ -711,7 +709,6 @@ fn render_report(
         },
         a.serve.queue_capacity,
         a.serve.max_batch,
-        a.serve.max_delay_us,
         a.connections,
     );
     json::write_f64(&mut out, a.rate);

@@ -87,11 +87,10 @@ pub struct ServeConfig {
     pub queue_capacity: usize,
     /// Per-shard window-queue capacity.
     pub worker_queue_capacity: usize,
-    /// Micro-batch size the batcher aims for.
+    /// Most requests the batcher takes from the admission queue at once.
+    /// It never waits for a batch to fill: it takes what is queued, so
+    /// batches are 1 when idle and reach this cap only under backlog.
     pub max_batch: usize,
-    /// Micro-batch deadline in microseconds: a partial batch is released
-    /// once the oldest request has waited this long.
-    pub max_delay_us: u64,
     /// LRU capacity of the shared [`tagnn_graph::PlanCache`]
     /// (0 = unbounded).
     pub plan_cache_capacity: usize,
@@ -136,7 +135,6 @@ impl Default for ServeConfig {
             queue_capacity: 256,
             worker_queue_capacity: 64,
             max_batch: 8,
-            max_delay_us: 500,
             plan_cache_capacity: 128,
             incremental_planning: true,
             overlap: false,

@@ -4,11 +4,12 @@
 //! Requests enter through [`ServeCore::submit`], which performs
 //! non-blocking admission into a bounded queue (full queue ⇒ typed
 //! [`ServeError::Overloaded`], never unbounded memory). A single batcher
-//! thread pops deadline-based micro-batches, feeds each stream's events
-//! through its [`WindowRoller`], and fans completed windows out to the
-//! worker pool. Streams shard to workers by `stream % workers` because a
-//! stream's windows are sequentially dependent (the RNN state threads
-//! through its [`EngineSession`]); distinct streams run concurrently.
+//! thread pops opportunistic micro-batches (whatever is queued, never
+//! waiting for more), feeds each stream's events through its
+//! [`WindowRoller`], and fans completed windows out to the worker pool.
+//! Streams shard to workers by `stream % workers` because a stream's
+//! windows are sequentially dependent (the RNN state threads through its
+//! [`EngineSession`]); distinct streams run concurrently.
 //!
 //! The batcher also runs the graceful-degradation controller: sustained
 //! admission backlog widens the similarity-aware skip band (see
@@ -17,7 +18,7 @@
 //! bit-identical to an offline [`ConcurrentEngine::run`] over the same
 //! stream — the property the integration suite pins down.
 
-use std::collections::HashMap;
+use std::collections::{HashMap, VecDeque};
 use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{mpsc, Arc, Mutex};
 use std::thread::JoinHandle;
@@ -39,6 +40,7 @@ use crate::event::EdgeEvent;
 use crate::persist::{self, CheckpointBlob, ConfigStamp};
 use crate::queue::{BoundedQueue, PushOutcome};
 use crate::roller::{RolledWindow, ShardedRoller, ShardedRollerState, WindowRoller};
+use crate::server::Waker;
 use crate::shard::ShardRouter;
 
 /// One inference request: a slice of a stream's event sequence.
@@ -304,10 +306,30 @@ struct DurableObs {
     truncated_tail_bytes: AtomicU64,
 }
 
+/// Where a request's outcome goes: the ticket's channel, plus the TCP
+/// frontend's doorbell when the request came in over a socket.
+struct ReplyTo {
+    tx: mpsc::Sender<Result<Reply, ServeError>>,
+    waker: Option<Arc<Waker>>,
+}
+
+impl ReplyTo {
+    /// The one way a request completes. The reply is sent *before* the
+    /// doorbell rings, so an I/O thread woken by it finds the ticket
+    /// resolved; it blocks in `poll(2)` with no timeout, so a completion
+    /// path that bypassed this would strand the connection.
+    fn complete(&self, outcome: Result<Reply, ServeError>) {
+        let _ = self.tx.send(outcome);
+        if let Some(waker) = &self.waker {
+            waker.wake();
+        }
+    }
+}
+
 struct Job {
     req: InferRequest,
     enqueued_at: Instant,
-    reply: mpsc::Sender<Result<Reply, ServeError>>,
+    reply: ReplyTo,
     /// `false` for WAL-replayed requests: they were logged before the
     /// crash and must not be logged again.
     log: bool,
@@ -318,7 +340,7 @@ struct Job {
 struct Pending {
     remaining: AtomicUsize,
     results: Mutex<Vec<Option<WindowResult>>>,
-    reply: mpsc::Sender<Result<Reply, ServeError>>,
+    reply: ReplyTo,
     accepted_events: usize,
 }
 
@@ -773,21 +795,28 @@ impl ServeCore {
 
         if let Some(mut report) = boot.report.take() {
             // Replay the WAL suffix through the normal ingestion path,
-            // one request outstanding at a time (bounded memory, FIFO
-            // order). Rejections are counted, not fatal: a record that
+            // pipelined: up to `queue_capacity` requests in flight (so
+            // admission can never shed one), replies collected in submit
+            // order. Rejections are counted, not fatal: a record that
             // was admissible pre-crash stays admissible after a faithful
             // state restore, so a rejection here indicates operator
             // tampering — the remaining stream must still come up.
             let t0 = Instant::now();
+            let mut in_flight: VecDeque<Ticket> = VecDeque::new();
+            let mut collect = |ticket: Ticket| match ticket.wait() {
+                Ok(reply) => report.replayed_windows.extend(reply.windows),
+                Err(_) => core.recorder.incr("serve.recovery.rejected_requests", 1),
+            };
             for req in boot.replay.drain(..) {
-                match core.submit_job(req, false) {
-                    Ok(ticket) => match ticket.wait() {
-                        Ok(reply) => report.replayed_windows.extend(reply.windows),
-                        Err(_) => core.recorder.incr("serve.recovery.rejected_requests", 1),
-                    },
+                if in_flight.len() == core.cfg.queue_capacity {
+                    collect(in_flight.pop_front().expect("window is full"));
+                }
+                match core.submit_job(req, false, None) {
+                    Ok(ticket) => in_flight.push_back(ticket),
                     Err(_) => core.recorder.incr("serve.recovery.rejected_requests", 1),
                 }
             }
+            in_flight.into_iter().for_each(&mut collect);
             report.replay_us = t0.elapsed().as_micros() as u64;
             core.durable_obs
                 .replay_us
@@ -892,15 +921,31 @@ impl ServeCore {
     /// Non-blocking admission. `Err(Overloaded)` when the queue is full;
     /// the caller decides whether to retry, backpressure, or drop.
     pub fn submit(&self, req: InferRequest) -> Result<Ticket, ServeError> {
-        self.submit_job(req, true)
+        self.submit_job(req, true, None)
     }
 
-    fn submit_job(&self, req: InferRequest, log: bool) -> Result<Ticket, ServeError> {
+    /// [`Self::submit`] for the TCP frontend: `waker` is rung once the
+    /// ticket has resolved, so the I/O thread can block instead of
+    /// polling its tickets.
+    pub(crate) fn submit_waking(
+        &self,
+        req: InferRequest,
+        waker: &Arc<Waker>,
+    ) -> Result<Ticket, ServeError> {
+        self.submit_job(req, true, Some(Arc::clone(waker)))
+    }
+
+    fn submit_job(
+        &self,
+        req: InferRequest,
+        log: bool,
+        waker: Option<Arc<Waker>>,
+    ) -> Result<Ticket, ServeError> {
         let (tx, rx) = mpsc::channel();
         let job = Job {
             req,
             enqueued_at: Instant::now(),
-            reply: tx,
+            reply: ReplyTo { tx, waker },
             log,
         };
         match self.admission.try_push(job) {
@@ -924,10 +969,13 @@ impl ServeCore {
     /// all threads. In-flight requests complete; late `submit`s get
     /// [`ServeError::Closed`].
     pub fn shutdown(mut self) {
-        self.shutdown_inner();
+        self.stop();
     }
 
-    fn shutdown_inner(&mut self) {
+    /// [`Self::shutdown`] that leaves the core in place, so the counters
+    /// can be read once nothing moves any more — checkpoints land
+    /// asynchronously, and only here is the writer known to be done.
+    pub fn stop(&mut self) {
         self.admission.close();
         if let Some(h) = self.batcher.take() {
             let _ = h.join();
@@ -948,7 +996,7 @@ impl ServeCore {
 
 impl Drop for ServeCore {
     fn drop(&mut self) {
-        self.shutdown_inner();
+        self.stop();
     }
 }
 
@@ -970,13 +1018,12 @@ fn batcher_loop(
     mut durable: Option<BatcherDurable>,
 ) {
     let mut degrade = DegradationState::default();
-    let max_delay = Duration::from_micros(ctx.cfg.max_delay_us);
     // Per-shard metric names, built once (the recorder keys by &str).
     let depth_gauges: Vec<String> = (0..ctx.cfg.shards)
         .map(|s| format!("serve.shard{s}.queue_depth"))
         .collect();
     loop {
-        let batch = ctx.admission.pop_batch(ctx.cfg.max_batch, max_delay);
+        let batch = ctx.admission.pop_batch(ctx.cfg.max_batch);
         if batch.is_empty() {
             // pop_batch returns empty only when closed and drained. Make
             // every appended-but-unsynced WAL byte durable before the
@@ -992,7 +1039,16 @@ fn batcher_loop(
 
         // The backlog left AFTER taking this batch is the overload
         // signal: it stays high only when arrivals outpace service.
-        let level = degrade.observe(ctx.admission.depth(), &ctx.cfg.degradation);
+        // Recovery's pipelined WAL replay (which finishes before any
+        // client can submit, so a batch is all replay or all live) is
+        // backlog of the core's own making: it must re-serve the logged
+        // requests at the configured thresholds, not degraded ones.
+        let live = batch[0].log;
+        let level = if live {
+            degrade.observe(ctx.admission.depth(), &ctx.cfg.degradation)
+        } else {
+            degrade.level()
+        };
         ctx.degrade_level.store(level, Ordering::Relaxed);
         ctx.max_degrade_level
             .store(degrade.max_level_seen(), Ordering::Relaxed);
@@ -1006,8 +1062,13 @@ fn batcher_loop(
             dispatch_job(&ctx, job, &mut rollers, skip, &mut durable);
         }
 
-        if let Some(d) = &mut durable {
-            maybe_cut_checkpoint(&ctx, d, &rollers);
+        // No checkpoint mid-replay either: its WAL offsets would claim
+        // the whole log while the rollers hold only the replayed part,
+        // so a second crash would lose the rest of the suffix.
+        if live {
+            if let Some(d) = &mut durable {
+                maybe_cut_checkpoint(&ctx, d, &rollers);
+            }
         }
     }
 }
@@ -1081,7 +1142,7 @@ fn dispatch_job(
     for event in &job.req.events {
         if let Err(e) = event.validate(cfg.universe, cfg.feature_dim) {
             recorder.incr("serve.rejected", 1);
-            let _ = job.reply.send(Err(ServeError::Rejected(e)));
+            job.reply.complete(Err(ServeError::Rejected(e)));
             return;
         }
     }
@@ -1108,9 +1169,8 @@ fn dispatch_job(
                 }
                 Err(e) => {
                     recorder.incr("serve.wal.append_errors", 1);
-                    let _ = job
-                        .reply
-                        .send(Err(ServeError::Durability(format!("WAL append: {e}"))));
+                    job.reply
+                        .complete(Err(ServeError::Durability(format!("WAL append: {e}"))));
                     return;
                 }
             }
@@ -1163,13 +1223,13 @@ fn dispatch_job(
     }
     if let Some(e) = failed {
         recorder.incr("serve.rejected", 1);
-        let _ = job.reply.send(Err(ServeError::Rejected(e)));
+        job.reply.complete(Err(ServeError::Rejected(e)));
         return;
     }
 
     let accepted_events = job.req.events.len();
     if windows.is_empty() {
-        let _ = job.reply.send(Ok(Reply {
+        job.reply.complete(Ok(Reply {
             accepted_events,
             windows: Vec::new(),
         }));
@@ -1202,7 +1262,7 @@ fn dispatch_job(
         // Blocking push: worker backlog stalls the batcher, which fills
         // the admission queue, which sheds — backpressure end to end.
         if ctx.queues[shard].push(item).is_err() {
-            let _ = pending.reply.send(Err(ServeError::Closed));
+            pending.reply.complete(Err(ServeError::Closed));
             return;
         }
     }
@@ -1437,7 +1497,7 @@ fn execute_item(
                 .map(|r| r.expect("every slot filled before the last decrement"))
                 .collect();
             ctx.recorder.record("serve.request_latency_us", latency_us);
-            let _ = pending.reply.send(Ok(Reply {
+            pending.reply.complete(Ok(Reply {
                 accepted_events: pending.accepted_events,
                 windows,
             }));

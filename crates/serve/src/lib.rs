@@ -13,15 +13,18 @@
 //!   trace derivation used by replay tests and the load generator;
 //! * [`roller`] — [`WindowRoller`], sealing events into snapshots and
 //!   snapshots into K-windows bit-identical to offline batching;
-//! * [`queue`] / [`core`] — bounded admission, deadline micro-batching,
-//!   and the worker pool running one [`tagnn_models::EngineSession`] per
-//!   stream (windows of a stream are sequentially dependent; streams
-//!   shard across workers);
+//! * [`queue`] / [`core`] — bounded admission, opportunistic
+//!   micro-batching (the batcher takes what is queued and never waits
+//!   for more), and the worker pool running one
+//!   [`tagnn_models::EngineSession`] per stream (windows of a stream are
+//!   sequentially dependent; streams shard across workers);
 //! * [`degrade`] — the graceful-degradation policy that widens the
 //!   similarity-aware skip band under sustained backlog and unwinds it
 //!   with hysteresis when load clears;
-//! * [`json`] / [`wire`] / [`server`] — a dependency-free JSON-lines TCP
-//!   frontend;
+//! * [`binwire`] / [`json`] / [`wire`] / [`server`] — a dependency-free
+//!   TCP frontend (binary frames by default, JSON lines for debugging):
+//!   one I/O thread blocked in `poll(2)`, woken by the workers when a
+//!   reply is ready;
 //! * [`loadgen`] — an open/closed-loop trace-replaying client feeding
 //!   the `tagnn-loadgen` binary and the `experiments serve-bench`
 //!   harness.

@@ -1,17 +1,17 @@
-//! Bounded MPMC queue with deadline-based micro-batching.
+//! Bounded MPMC queue with opportunistic micro-batching.
 //!
 //! The serving core backpressures at two points — admission and the
 //! per-worker window queues — and both use this queue: a `Mutex` +
 //! `Condvar` ring with a hard capacity. `try_push` sheds instead of
 //! blocking (the admission side of graceful degradation) and
-//! [`BoundedQueue::pop_batch`] implements the `max_batch`/`max_delay`
-//! micro-batching discipline: return as soon as `max_batch` items are
-//! buffered, or whatever has arrived once `max_delay` has passed since
-//! the first item of the batch.
+//! [`BoundedQueue::pop_batch`] is the micro-batching discipline: block
+//! for the first item, then take whatever else is already queued, up to
+//! `max_batch`, and return. The consumer never waits for a batch to
+//! fill, so batch size follows load by itself — 1 when idle, `max_batch`
+//! when arrivals outpace service — and there is no delay to tune.
 
 use std::collections::VecDeque;
 use std::sync::{Condvar, Mutex};
-use std::time::{Duration, Instant};
 
 /// Result of a non-blocking push.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -121,42 +121,19 @@ impl<T> BoundedQueue<T> {
         }
     }
 
-    /// Pops a micro-batch: blocks for the first item, then keeps
-    /// collecting until `max_batch` items are in hand or `max_delay` has
-    /// elapsed since the first item was taken. Returns an empty vec only
-    /// when the queue is closed and drained.
-    pub fn pop_batch(&self, max_batch: usize, max_delay: Duration) -> Vec<T> {
-        let max_batch = max_batch.max(1);
-        let mut batch = Vec::new();
+    /// Pops a micro-batch: blocks for the first item, then takes whatever
+    /// is already queued, up to `max_batch`, without waiting for more.
+    /// Returns an empty vec only when the queue is closed and drained.
+    pub fn pop_batch(&self, max_batch: usize) -> Vec<T> {
         let mut st = self.state.lock().unwrap();
-        // Block for the first item (or closure).
-        loop {
-            if !st.items.is_empty() {
-                break;
-            }
+        while st.items.is_empty() {
             if st.closed {
-                return batch;
+                return Vec::new();
             }
             st = self.not_empty.wait(st).unwrap();
         }
-        let deadline = Instant::now() + max_delay;
-        loop {
-            while batch.len() < max_batch {
-                match st.items.pop_front() {
-                    Some(item) => batch.push(item),
-                    None => break,
-                }
-            }
-            let now = Instant::now();
-            if batch.len() >= max_batch || st.closed || now >= deadline {
-                break;
-            }
-            let (next, timeout) = self.not_empty.wait_timeout(st, deadline - now).unwrap();
-            st = next;
-            if timeout.timed_out() && st.items.is_empty() {
-                break;
-            }
-        }
+        let take = st.items.len().min(max_batch.max(1));
+        let batch: Vec<T> = st.items.drain(..take).collect();
         drop(st);
         self.not_full.notify_all();
         batch
@@ -183,6 +160,7 @@ impl<T> BoundedQueue<T> {
 mod tests {
     use super::*;
     use std::sync::Arc;
+    use std::time::{Duration, Instant};
 
     #[test]
     fn try_push_sheds_at_capacity() {
@@ -196,16 +174,23 @@ mod tests {
         assert_eq!(q.try_push(3).0, PushOutcome::Queued { depth: 2 });
     }
 
+    /// The batcher never waits for a batch to fill: with fewer items
+    /// queued than `max_batch` it returns exactly those, although no
+    /// producer ever pushes again; with more it returns `max_batch`.
     #[test]
-    fn pop_batch_respects_max_batch() {
-        let q = BoundedQueue::new(16);
-        for i in 0..5 {
+    fn pop_batch_takes_what_is_queued_and_never_waits() {
+        let q = BoundedQueue::new(32);
+        for i in 0..3 {
             q.try_push(i);
         }
-        let batch = q.pop_batch(3, Duration::from_millis(50));
-        assert_eq!(batch, vec![0, 1, 2]);
-        let batch = q.pop_batch(3, Duration::from_millis(1));
-        assert_eq!(batch, vec![3, 4]);
+        assert_eq!(q.pop_batch(8), vec![0, 1, 2]);
+        for i in 0..20 {
+            q.try_push(i);
+        }
+        assert_eq!(q.pop_batch(8), (0..8).collect::<Vec<_>>());
+        assert_eq!(q.pop_batch(8), (8..16).collect::<Vec<_>>());
+        assert_eq!(q.pop_batch(8), vec![16, 17, 18, 19]);
+        assert_eq!(q.depth(), 0);
     }
 
     #[test]
@@ -216,7 +201,7 @@ mod tests {
         assert_eq!(q.try_push(8).0, PushOutcome::Closed);
         assert_eq!(q.pop(), Some(7));
         assert_eq!(q.pop(), None);
-        assert!(q.pop_batch(4, Duration::from_millis(1)).is_empty());
+        assert!(q.pop_batch(4).is_empty());
     }
 
     #[test]
@@ -268,7 +253,7 @@ mod tests {
     fn pop_batch_wakes_on_cross_thread_push() {
         let q = Arc::new(BoundedQueue::new(4));
         let q2 = Arc::clone(&q);
-        let h = std::thread::spawn(move || q2.pop_batch(4, Duration::from_millis(200)));
+        let h = std::thread::spawn(move || q2.pop_batch(4));
         std::thread::sleep(Duration::from_millis(20));
         q.try_push(42);
         let batch = h.join().unwrap();

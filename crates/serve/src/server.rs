@@ -1,37 +1,50 @@
-//! Nonblocking event-loop TCP frontend over [`ServeCore`].
+//! Blocking event-loop TCP frontend over [`ServeCore`].
 //!
-//! One I/O thread owns the listener and every connection: sockets are
-//! nonblocking and the loop polls readiness (read → parse → submit,
-//! resolve finished tickets in request order, flush write buffers),
-//! sleeping briefly only when a full pass makes no progress. Compared to
-//! the earlier thread-per-connection frontend this bounds the server at
-//! one I/O thread regardless of connection count — no handle list to
-//! reap, no thread stack per idle client — while keeping submission
-//! pipelined: a connection keeps admitting requests while earlier
-//! tickets are still in flight, up to a per-connection in-flight cap
-//! that backpressures the socket instead of buffering unboundedly.
+//! One I/O thread owns the listener and every connection. Sockets are
+//! nonblocking; the thread blocks in `poll(2)` with no timeout over the
+//! listener, a waker descriptor and every connection, and runs only
+//! when one of them has work: a client connected, request bytes
+//! arrived, a socket that refused bytes can take them again, or a
+//! worker finished a request and rang the waker. There is no idle
+//! sleep and no polling of tickets, so an idle server performs no
+//! passes at all and a reply leaves as soon as it exists.
+//!
+//! Interest is level-triggered and follows backpressure: a connection
+//! is polled for input only while it may read — fewer than
+//! `MAX_INFLIGHT_PER_CONN` replies owed, less than `MAX_WRITE_BUFFER`
+//! unsent, less than `MAX_READ_BUFFER` unparsed, peer still open — and
+//! for output only while it has unsent bytes. A client that pipelines
+//! without reading therefore stalls itself, costs the loop nothing
+//! while stalled, and resumes when it reads.
+//!
+//! Submission is pipelined: a connection keeps admitting requests while
+//! earlier tickets are still in flight. Replies to one connection are
+//! always written in request order; a reply with nothing owed before it
+//! is encoded straight into the connection's write buffer.
 //!
 //! Two wire formats share the frontend: the compact length-prefixed
 //! binary protocol of [`crate::binwire`] (the default) and the
 //! JSON-lines protocol of [`crate::wire`] (kept for debugging — pass
-//! [`WireFormat::Json`] or `--wire json` on the bench CLI). Replies to
-//! one connection are always written in request order in both formats.
+//! [`WireFormat::Json`] or `--wire json` on the bench CLI).
+//!
+//! Unix only: readiness is `poll(2)`, declared here against the C
+//! library std already links, and the waker is a
+//! [`std::os::unix::net::UnixStream`] pair.
 
 use std::collections::VecDeque;
+use std::ffi::c_int;
 use std::io::{ErrorKind, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::os::unix::io::{AsRawFd, RawFd};
+use std::os::unix::net::UnixStream;
+use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
-use std::time::Duration;
 
 use crate::binwire;
 use crate::core::{Reply, ServeCore, Ticket};
 use crate::error::ServeError;
 use crate::wire::{self, StatsView, WireRequest};
-
-/// Sleep between passes that made no progress (accept/read/write/ticket).
-const IDLE_SLEEP: Duration = Duration::from_micros(500);
 
 /// In-flight requests per connection before the loop stops reading from
 /// its socket (kernel backpressure toward the client).
@@ -43,6 +56,98 @@ const MAX_WRITE_BUFFER: usize = 4 << 20;
 /// Read-buffer bytes per connection before reading pauses (a single
 /// frame may legitimately be large; this caps *unparsed* backlog).
 const MAX_READ_BUFFER: usize = binwire::MAX_FRAME_LEN + (16 << 10);
+
+/// `struct pollfd` of `poll(2)`.
+#[repr(C)]
+struct PollFd {
+    fd: RawFd,
+    events: i16,
+    revents: i16,
+}
+
+impl PollFd {
+    fn new(fd: RawFd, events: i16) -> Self {
+        Self {
+            fd,
+            events,
+            revents: 0,
+        }
+    }
+}
+
+const POLLIN: i16 = 0x1;
+const POLLOUT: i16 = 0x4;
+
+#[cfg(target_os = "linux")]
+type Nfds = std::ffi::c_ulong;
+#[cfg(not(target_os = "linux"))]
+type Nfds = std::ffi::c_uint;
+
+extern "C" {
+    fn poll(fds: *mut PollFd, nfds: Nfds, timeout: c_int) -> c_int;
+}
+
+/// Blocks, with no timeout, until at least one of `fds` is ready.
+fn wait_ready(fds: &mut [PollFd]) -> std::io::Result<()> {
+    loop {
+        // SAFETY: `fds` is an exclusively borrowed slice of `repr(C)`
+        // records laid out as `struct pollfd`, and `nfds` is its length;
+        // `poll` reads `fd`/`events` and writes only `revents` of those
+        // records, all before it returns.
+        let ready = unsafe { poll(fds.as_mut_ptr(), fds.len() as Nfds, -1) };
+        if ready >= 0 {
+            return Ok(());
+        }
+        let err = std::io::Error::last_os_error();
+        if err.kind() != ErrorKind::Interrupted {
+            return Err(err);
+        }
+    }
+}
+
+/// The I/O thread's doorbell: a nonblocking socket pair whose read end
+/// sits in the event loop's poll set. Rings coalesce — only the ring
+/// that finds the bell silent writes a byte — so a burst of completions
+/// costs one syscall and one wakeup.
+pub(crate) struct Waker {
+    tx: UnixStream,
+    rx: UnixStream,
+    rung: AtomicBool,
+}
+
+impl Waker {
+    fn new() -> std::io::Result<Self> {
+        let (tx, rx) = UnixStream::pair()?;
+        tx.set_nonblocking(true)?;
+        rx.set_nonblocking(true)?;
+        Ok(Self {
+            tx,
+            rx,
+            rung: AtomicBool::new(false),
+        })
+    }
+
+    /// Makes the event loop run a pass. Whatever the caller published
+    /// before this call (a reply on a ticket, the shutdown flag) is
+    /// visible to that pass: either this ring writes the byte that wakes
+    /// the loop, or the bell was already rung and the loop has yet to
+    /// [`Self::silence`] it — which it does before it looks.
+    pub(crate) fn wake(&self) {
+        if !self.rung.swap(true, Ordering::SeqCst) {
+            // Cannot fill up: at most one byte is ever outstanding.
+            let _ = (&self.tx).write(&[1]);
+        }
+    }
+
+    /// Event-loop side: swallows the byte, then re-arms the bell. The
+    /// caller must scan for completed work only *after* this returns, so
+    /// a completion racing the scan rings again instead of being lost.
+    fn silence(&self) {
+        let mut byte = [0u8; 8];
+        let _ = (&self.rx).read(&mut byte);
+        self.rung.store(false, Ordering::SeqCst);
+    }
+}
 
 /// Which wire protocol a server speaks.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -100,12 +205,19 @@ pub fn stats_view(core: &ServeCore) -> StatsView {
     }
 }
 
+/// State shared between a [`Server`] handle and its I/O thread.
+struct Shared {
+    shutdown: AtomicBool,
+    active: AtomicUsize,
+    wakeups: AtomicU64,
+    waker: Arc<Waker>,
+}
+
 /// A running TCP server.
 pub struct Server {
     addr: SocketAddr,
     core: Arc<ServeCore>,
-    shutdown: Arc<AtomicBool>,
-    active: Arc<AtomicUsize>,
+    shared: Arc<Shared>,
     io: Option<JoinHandle<()>>,
     wire: WireFormat,
 }
@@ -123,22 +235,24 @@ impl Server {
         let addr = listener.local_addr()?;
         listener.set_nonblocking(true)?;
         let core = Arc::new(core);
-        let shutdown = Arc::new(AtomicBool::new(false));
-        let active = Arc::new(AtomicUsize::new(0));
+        let shared = Arc::new(Shared {
+            shutdown: AtomicBool::new(false),
+            active: AtomicUsize::new(0),
+            wakeups: AtomicU64::new(0),
+            waker: Arc::new(Waker::new()?),
+        });
         let io = {
             let core = Arc::clone(&core);
-            let shutdown = Arc::clone(&shutdown);
-            let active = Arc::clone(&active);
+            let shared = Arc::clone(&shared);
             std::thread::Builder::new()
                 .name("tagnn-serve-io".into())
-                .spawn(move || event_loop(&listener, &core, &shutdown, &active, wire))
+                .spawn(move || event_loop(&listener, &core, &shared, wire))
                 .expect("spawn io loop")
         };
         Ok(Self {
             addr,
             core,
-            shutdown,
-            active,
+            shared,
             io: Some(io),
             wire,
         })
@@ -163,13 +277,21 @@ impl Server {
     /// state: this returns to zero once clients disconnect and their
     /// replies flush — nothing accumulates per past connection.
     pub fn active_connections(&self) -> usize {
-        self.active.load(Ordering::Relaxed)
+        self.shared.active.load(Ordering::Relaxed)
+    }
+
+    /// Passes the event loop has run since boot: one per return from its
+    /// blocking `poll(2)`. It stays flat while the server is idle and
+    /// while every connection is stalled on its own backpressure.
+    pub fn io_wakeups(&self) -> u64 {
+        self.shared.wakeups.load(Ordering::Relaxed)
     }
 
     /// Stops the I/O loop (draining in-flight replies onto their
     /// sockets), then shuts the core down.
     pub fn shutdown(mut self) {
-        self.shutdown.store(true, Ordering::Relaxed);
+        self.shared.shutdown.store(true, Ordering::SeqCst);
+        self.shared.waker.wake();
         if let Some(h) = self.io.take() {
             let _ = h.join();
         }
@@ -181,16 +303,61 @@ impl Server {
 
 /// What a connection owes its client, in request order.
 enum Outgoing {
-    /// Already-encoded reply bytes.
+    /// Encoded reply bytes queued behind an unresolved ticket.
     Ready(Vec<u8>),
     /// A ticket still in flight; encoded when it resolves.
     Infer(u64, Ticket),
+}
+
+/// A reply before it is encoded.
+enum Response<'a> {
+    Reply(&'a Reply),
+    Error(&'a ServeError),
+    Stats(&'a StatsView),
+    Pong,
+}
+
+/// Appends `resp` to `out` in the wire format `fmt`.
+fn encode_response(out: &mut Vec<u8>, fmt: WireFormat, id: u64, resp: Response<'_>) {
+    match fmt {
+        WireFormat::Binary => match resp {
+            Response::Reply(reply) => binwire::encode_reply(out, id, reply),
+            Response::Error(err) => binwire::encode_error(out, id, err),
+            Response::Stats(stats) => binwire::encode_stats(out, id, stats),
+            Response::Pong => binwire::encode_pong(out, id),
+        },
+        WireFormat::Json => {
+            let line = match resp {
+                Response::Reply(reply) => wire::encode_reply(id, reply),
+                Response::Error(err) => wire::encode_error(id, err),
+                Response::Stats(stats) => wire::encode_stats(id, stats),
+                Response::Pong => wire::encode_pong(id),
+            };
+            out.extend_from_slice(line.as_bytes());
+            out.push(b'\n');
+        }
+    }
+}
+
+fn encode_outcome(
+    out: &mut Vec<u8>,
+    fmt: WireFormat,
+    id: u64,
+    outcome: &Result<Reply, ServeError>,
+) {
+    let resp = match outcome {
+        Ok(reply) => Response::Reply(reply),
+        Err(err) => Response::Error(err),
+    };
+    encode_response(out, fmt, id, resp);
 }
 
 struct Conn {
     stream: TcpStream,
     rbuf: Vec<u8>,
     wbuf: Vec<u8>,
+    /// Bytes at the front of `wbuf` the socket has already taken.
+    wpos: usize,
     outgoing: VecDeque<Outgoing>,
     /// Peer sent EOF or committed a fatal framing error: stop reading,
     /// flush what is owed, then drop.
@@ -204,260 +371,264 @@ impl Conn {
             stream,
             rbuf: Vec::new(),
             wbuf: Vec::new(),
+            wpos: 0,
             outgoing: VecDeque::new(),
             peer_closed: false,
             dead: false,
         }
     }
-}
 
-fn encode_reply_bytes(fmt: WireFormat, id: u64, reply: &Reply) -> Vec<u8> {
-    match fmt {
-        WireFormat::Json => {
-            let mut s = wire::encode_reply(id, reply).into_bytes();
-            s.push(b'\n');
-            s
+    fn unsent(&self) -> usize {
+        self.wbuf.len() - self.wpos
+    }
+
+    /// Whether the connection may take more input: the peer is still
+    /// there and no backpressure cap is hit.
+    fn wants_read(&self) -> bool {
+        !self.peer_closed
+            && self.outgoing.len() < MAX_INFLIGHT_PER_CONN
+            && self.unsent() < MAX_WRITE_BUFFER
+            && self.rbuf.len() < MAX_READ_BUFFER
+    }
+
+    /// The events to poll this connection for. Level-triggered, so it
+    /// must name only what [`service`] would act on, or the loop spins.
+    fn interest(&self) -> i16 {
+        let mut events = 0;
+        if self.wants_read() {
+            events |= POLLIN;
         }
-        WireFormat::Binary => {
-            let mut b = Vec::new();
-            binwire::encode_reply(&mut b, id, reply);
-            b
+        if self.unsent() > 0 {
+            events |= POLLOUT;
+        }
+        events
+    }
+
+    /// Whether a finished ticket could move this connection forward.
+    fn awaits_ticket(&self) -> bool {
+        matches!(self.outgoing.front(), Some(Outgoing::Infer(..)))
+    }
+
+    /// Queues a reply that needs no ticket: straight into the write
+    /// buffer when nothing is owed before it, else behind the tickets.
+    fn respond(&mut self, fmt: WireFormat, id: u64, resp: Response<'_>) {
+        if self.outgoing.is_empty() {
+            encode_response(&mut self.wbuf, fmt, id, resp);
+        } else {
+            let mut bytes = Vec::new();
+            encode_response(&mut bytes, fmt, id, resp);
+            self.outgoing.push_back(Outgoing::Ready(bytes));
         }
     }
 }
 
-fn encode_error_bytes(fmt: WireFormat, id: u64, err: &ServeError) -> Vec<u8> {
-    match fmt {
-        WireFormat::Json => {
-            let mut s = wire::encode_error(id, err).into_bytes();
-            s.push(b'\n');
-            s
-        }
-        WireFormat::Binary => {
-            let mut b = Vec::new();
-            binwire::encode_error(&mut b, id, err);
-            b
-        }
-    }
-}
-
-fn encode_stats_bytes(fmt: WireFormat, id: u64, s: &StatsView) -> Vec<u8> {
-    match fmt {
-        WireFormat::Json => {
-            let mut out = wire::encode_stats(id, s).into_bytes();
-            out.push(b'\n');
-            out
-        }
-        WireFormat::Binary => {
-            let mut b = Vec::new();
-            binwire::encode_stats(&mut b, id, s);
-            b
-        }
-    }
-}
-
-fn encode_pong_bytes(fmt: WireFormat, id: u64) -> Vec<u8> {
-    match fmt {
-        WireFormat::Json => {
-            let mut s = wire::encode_pong(id).into_bytes();
-            s.push(b'\n');
-            s
-        }
-        WireFormat::Binary => {
-            let mut b = Vec::new();
-            binwire::encode_pong(&mut b, id);
-            b
-        }
-    }
+/// What every pass needs besides the connection it is servicing.
+struct LoopCtx<'a> {
+    core: &'a ServeCore,
+    waker: &'a Arc<Waker>,
+    fmt: WireFormat,
 }
 
 /// Turns one parsed request (or parse failure, which still carries the
 /// best-effort id) into the connection's next outgoing item.
 fn handle_request(
+    conn: &mut Conn,
     parsed: Result<WireRequest, (u64, ServeError)>,
-    core: &ServeCore,
-    fmt: WireFormat,
-) -> Outgoing {
+    ctx: &LoopCtx<'_>,
+) {
     match parsed {
-        Ok(WireRequest::Infer { id, req }) => match core.submit(req) {
-            Ok(ticket) => Outgoing::Infer(id, ticket),
-            Err(e) => Outgoing::Ready(encode_error_bytes(fmt, id, &e)),
+        Ok(WireRequest::Infer { id, req }) => match ctx.core.submit_waking(req, ctx.waker) {
+            Ok(ticket) => conn.outgoing.push_back(Outgoing::Infer(id, ticket)),
+            Err(e) => conn.respond(ctx.fmt, id, Response::Error(&e)),
         },
         Ok(WireRequest::Stats { id }) => {
-            Outgoing::Ready(encode_stats_bytes(fmt, id, &stats_view(core)))
+            conn.respond(ctx.fmt, id, Response::Stats(&stats_view(ctx.core)))
         }
-        Ok(WireRequest::Ping { id }) => Outgoing::Ready(encode_pong_bytes(fmt, id)),
-        Err((id, e)) => Outgoing::Ready(encode_error_bytes(fmt, id, &e)),
+        Ok(WireRequest::Ping { id }) => conn.respond(ctx.fmt, id, Response::Pong),
+        Err((id, e)) => conn.respond(ctx.fmt, id, Response::Error(&e)),
     }
 }
 
-/// Drains complete binary frames from the read buffer. A framing error
+/// Handles every complete binary frame in the read buffer, advancing a
+/// cursor and compacting the buffer once at the end. A framing error
 /// (bad length/version — the byte stream is unrecoverable) answers with
 /// an error frame and closes after flushing.
-fn parse_binary(conn: &mut Conn, core: &ServeCore) {
+fn parse_binary(conn: &mut Conn, ctx: &LoopCtx<'_>) {
+    let mut pos = 0;
     loop {
-        let (out, consumed) = match binwire::try_decode_frame(&conn.rbuf) {
-            Ok(None) => return,
-            Ok(Some(frame)) => (
-                handle_request(binwire::decode_request(&frame), core, WireFormat::Binary),
-                frame.consumed,
-            ),
+        let parsed = match binwire::try_decode_frame(&conn.rbuf[pos..]) {
+            Ok(None) => break,
+            Ok(Some(frame)) => {
+                pos += frame.consumed;
+                binwire::decode_request(&frame)
+            }
             Err(e) => {
-                conn.outgoing.push_back(Outgoing::Ready(encode_error_bytes(
-                    WireFormat::Binary,
-                    0,
-                    &e,
-                )));
-                conn.rbuf.clear();
+                conn.respond(ctx.fmt, 0, Response::Error(&e));
                 conn.peer_closed = true;
-                return;
+                pos = conn.rbuf.len();
+                break;
             }
         };
-        conn.rbuf.drain(..consumed);
-        conn.outgoing.push_back(out);
+        handle_request(conn, parsed, ctx);
     }
+    conn.rbuf.drain(..pos);
 }
 
-/// Drains complete JSON lines from the read buffer. Malformed lines are
-/// answered (with the best-effort id) and the connection survives.
-fn parse_json(conn: &mut Conn, core: &ServeCore) {
-    while let Some(pos) = conn.rbuf.iter().position(|&b| b == b'\n') {
-        let line: Vec<u8> = conn.rbuf.drain(..=pos).collect();
-        let line = String::from_utf8_lossy(&line[..line.len() - 1]);
-        let line = line.trim();
-        if line.is_empty() {
-            continue;
+/// Handles every complete JSON line in the read buffer (same cursor
+/// discipline). Malformed lines are answered (with the best-effort id)
+/// and the connection survives.
+fn parse_json(conn: &mut Conn, ctx: &LoopCtx<'_>) {
+    let mut pos = 0;
+    while let Some(len) = conn.rbuf[pos..].iter().position(|&b| b == b'\n') {
+        let line = String::from_utf8_lossy(&conn.rbuf[pos..pos + len]);
+        let parsed = Some(line.trim())
+            .filter(|line| !line.is_empty())
+            .map(wire::parse_request);
+        pos += len + 1;
+        if let Some(parsed) = parsed {
+            handle_request(conn, parsed, ctx);
         }
-        let out = handle_request(wire::parse_request(line), core, WireFormat::Json);
-        conn.outgoing.push_back(out);
     }
+    conn.rbuf.drain(..pos);
 }
 
-/// One readiness pass over a connection. Returns whether any progress
-/// happened (bytes moved or a ticket resolved).
-fn service(conn: &mut Conn, core: &ServeCore, fmt: WireFormat) -> bool {
-    let mut progress = false;
-
-    // Read until WouldBlock, unless this connection is backpressured.
-    if !conn.peer_closed {
+/// One pass over a connection: read and parse if its socket reported
+/// input, move resolved tickets from the front of the queue into the
+/// write buffer, and write as much as the socket takes.
+fn service(conn: &mut Conn, readable: bool, ctx: &LoopCtx<'_>) {
+    if readable {
         let mut chunk = [0u8; 16384];
-        while conn.outgoing.len() < MAX_INFLIGHT_PER_CONN
-            && conn.wbuf.len() < MAX_WRITE_BUFFER
-            && conn.rbuf.len() < MAX_READ_BUFFER
-        {
+        while conn.wants_read() {
             match conn.stream.read(&mut chunk) {
-                Ok(0) => {
-                    conn.peer_closed = true;
-                    break;
-                }
+                Ok(0) => conn.peer_closed = true,
                 Ok(n) => {
                     conn.rbuf.extend_from_slice(&chunk[..n]);
-                    progress = true;
+                    // A short read drained the socket; if more arrives,
+                    // level-triggered poll says so.
+                    if n < chunk.len() {
+                        break;
+                    }
                 }
                 Err(e) if e.kind() == ErrorKind::WouldBlock => break,
                 Err(e) if e.kind() == ErrorKind::Interrupted => continue,
                 Err(_) => {
                     conn.dead = true;
-                    return true;
+                    return;
                 }
             }
         }
-        match fmt {
-            WireFormat::Binary => parse_binary(conn, core),
-            WireFormat::Json => parse_json(conn, core),
+        match ctx.fmt {
+            WireFormat::Binary => parse_binary(conn, ctx),
+            WireFormat::Json => parse_json(conn, ctx),
         }
     }
 
     // Resolve finished tickets at the queue front — replies stay in
     // request order; an unresolved ticket blocks those behind it.
-    while let Some(front) = conn.outgoing.front_mut() {
+    while let Some(front) = conn.outgoing.front() {
         match front {
-            Outgoing::Ready(bytes) => {
-                conn.wbuf.append(bytes);
-                conn.outgoing.pop_front();
-                progress = true;
-            }
+            Outgoing::Ready(bytes) => conn.wbuf.extend_from_slice(bytes),
             Outgoing::Infer(id, ticket) => match ticket.try_wait() {
                 None => break,
-                Some(result) => {
-                    let bytes = match result {
-                        Ok(reply) => encode_reply_bytes(fmt, *id, &reply),
-                        Err(e) => encode_error_bytes(fmt, *id, &e),
-                    };
-                    conn.wbuf.extend_from_slice(&bytes);
-                    conn.outgoing.pop_front();
-                    progress = true;
-                }
+                Some(outcome) => encode_outcome(&mut conn.wbuf, ctx.fmt, *id, &outcome),
             },
         }
+        conn.outgoing.pop_front();
     }
 
-    // Flush as much as the socket accepts.
-    while !conn.wbuf.is_empty() {
-        match conn.stream.write(&conn.wbuf) {
+    // Write as much as the socket accepts; the taken prefix is cut off
+    // when everything went out or it outgrows what is left.
+    while conn.unsent() > 0 {
+        match conn.stream.write(&conn.wbuf[conn.wpos..]) {
             Ok(0) => {
                 conn.dead = true;
-                return true;
+                return;
             }
-            Ok(n) => {
-                conn.wbuf.drain(..n);
-                progress = true;
-            }
+            Ok(n) => conn.wpos += n,
             Err(e) if e.kind() == ErrorKind::WouldBlock => break,
             Err(e) if e.kind() == ErrorKind::Interrupted => continue,
             Err(_) => {
                 conn.dead = true;
-                return true;
+                return;
             }
         }
     }
-
-    if conn.peer_closed && conn.outgoing.is_empty() && conn.wbuf.is_empty() {
-        conn.dead = true;
-        progress = true;
+    if conn.wpos > conn.unsent() {
+        conn.wbuf.drain(..conn.wpos);
+        conn.wpos = 0;
     }
-    progress
+
+    if conn.peer_closed && conn.outgoing.is_empty() && conn.unsent() == 0 {
+        conn.dead = true;
+    }
 }
 
-fn event_loop(
-    listener: &TcpListener,
-    core: &ServeCore,
-    shutdown: &AtomicBool,
-    active: &AtomicUsize,
-    fmt: WireFormat,
-) {
+fn event_loop(listener: &TcpListener, core: &ServeCore, shared: &Shared, fmt: WireFormat) {
+    let waker = &shared.waker;
+    let ctx = LoopCtx { core, waker, fmt };
     let mut conns: Vec<Conn> = Vec::new();
+    let mut fds: Vec<PollFd> = Vec::new();
+    // Cleared by an `accept` that fails for want of resources (EMFILE):
+    // the listener would stay readable and spin the loop, so it sits out
+    // one poll — by the next pass a descriptor may have been freed.
+    let mut accepting = true;
     loop {
-        if shutdown.load(Ordering::Relaxed) {
+        fds.clear();
+        fds.push(PollFd::new(waker.rx.as_raw_fd(), POLLIN));
+        let listen = if accepting { POLLIN } else { 0 };
+        fds.push(PollFd::new(listener.as_raw_fd(), listen));
+        fds.extend(
+            conns
+                .iter()
+                .map(|c| PollFd::new(c.stream.as_raw_fd(), c.interest())),
+        );
+        wait_ready(&mut fds).expect("poll(2) over the server's own descriptors");
+        shared.wakeups.fetch_add(1, Ordering::Relaxed);
+
+        let rung = fds[0].revents != 0;
+        if rung {
+            waker.silence();
+        }
+        if shared.shutdown.load(Ordering::SeqCst) {
             drain_on_shutdown(conns, fmt);
-            active.store(0, Ordering::Relaxed);
+            shared.active.store(0, Ordering::Relaxed);
             return;
         }
-        let mut progress = false;
 
-        loop {
-            match listener.accept() {
-                Ok((stream, _)) => {
-                    let _ = stream.set_nonblocking(true);
-                    let _ = stream.set_nodelay(true);
-                    conns.push(Conn::new(stream));
-                    progress = true;
-                }
-                Err(e) if e.kind() == ErrorKind::WouldBlock => break,
-                Err(e) if e.kind() == ErrorKind::Interrupted => continue,
-                Err(_) => break,
+        for (conn, fd) in conns.iter_mut().zip(&fds[2..]) {
+            if fd.revents & !(POLLIN | POLLOUT) != 0 {
+                // POLLERR/POLLHUP/POLLNVAL: reset or fully closed — no
+                // reply can reach this peer any more.
+                conn.dead = true;
+            } else if fd.revents != 0 || (rung && conn.awaits_ticket()) {
+                service(conn, fd.revents & POLLIN != 0, &ctx);
             }
         }
-
-        for conn in &mut conns {
-            progress |= service(conn, core, fmt);
-        }
         conns.retain(|c| !c.dead);
-        active.store(conns.len(), Ordering::Relaxed);
 
-        if !progress {
-            std::thread::sleep(IDLE_SLEEP);
+        accepting = true;
+        if fds[1].revents != 0 {
+            loop {
+                match listener.accept() {
+                    Ok((stream, _)) => {
+                        let _ = stream.set_nonblocking(true);
+                        let _ = stream.set_nodelay(true);
+                        conns.push(Conn::new(stream));
+                    }
+                    Err(e) if e.kind() == ErrorKind::WouldBlock => break,
+                    Err(e)
+                        if matches!(
+                            e.kind(),
+                            ErrorKind::Interrupted | ErrorKind::ConnectionAborted
+                        ) => {}
+                    Err(_) => {
+                        accepting = false;
+                        break;
+                    }
+                }
+            }
         }
+        shared.active.store(conns.len(), Ordering::Relaxed);
     }
 }
 
@@ -467,17 +638,15 @@ fn event_loop(
 fn drain_on_shutdown(conns: Vec<Conn>, fmt: WireFormat) {
     for mut conn in conns {
         let _ = conn.stream.set_nonblocking(false);
-        while let Some(out) = conn.outgoing.pop_front() {
-            let bytes = match out {
-                Outgoing::Ready(b) => b,
-                Outgoing::Infer(id, ticket) => match ticket.wait() {
-                    Ok(reply) => encode_reply_bytes(fmt, id, &reply),
-                    Err(e) => encode_error_bytes(fmt, id, &e),
-                },
-            };
-            conn.wbuf.extend_from_slice(&bytes);
+        for out in conn.outgoing.drain(..) {
+            match out {
+                Outgoing::Ready(bytes) => conn.wbuf.extend_from_slice(&bytes),
+                Outgoing::Infer(id, ticket) => {
+                    encode_outcome(&mut conn.wbuf, fmt, id, &ticket.wait())
+                }
+            }
         }
-        let _ = conn.stream.write_all(&conn.wbuf);
+        let _ = conn.stream.write_all(&conn.wbuf[conn.wpos..]);
     }
 }
 
@@ -488,6 +657,7 @@ mod tests {
     use crate::core::InferRequest;
     use crate::event::EdgeEvent;
     use std::io::{BufRead, BufReader};
+    use std::time::Duration;
 
     /// Blocking client-side frame reader. Pipelined replies can coalesce
     /// into one TCP segment, so leftover bytes carry across calls.

@@ -48,8 +48,55 @@ fn close_unblocks_a_crowd_of_blocked_producers() {
         .collect();
     returned.sort_unstable();
     assert_eq!(returned, (1..=16).collect::<Vec<_>>(), "every item returns");
-    assert_eq!(q.pop(), Some(0));
-    assert_eq!(q.pop(), None);
+    assert_eq!(q.pop_batch(8), vec![0], "the pre-close item still drains");
+    assert!(q.pop_batch(8).is_empty(), "closed and drained");
+}
+
+/// A crowd of producers blocked at capacity against one `pop_batch`
+/// consumer: every batch frees several slots at once, so the consumer's
+/// `not_full` wake must reach the whole crowd. Each batch holds between
+/// one item and `max_batch`, and every pushed item comes out exactly
+/// once, in per-producer order.
+#[test]
+fn pop_batch_drains_a_crowd_of_blocked_producers() {
+    const PRODUCERS: u64 = 16;
+    const PER_PRODUCER: u64 = 200;
+    let q: Arc<BoundedQueue<u64>> = Arc::new(BoundedQueue::new(4));
+    let producers: Vec<_> = (0..PRODUCERS)
+        .map(|p| {
+            let q = Arc::clone(&q);
+            std::thread::spawn(move || {
+                for i in 0..PER_PRODUCER {
+                    q.push(p << 32 | i).expect("queue stays open");
+                }
+            })
+        })
+        .collect();
+    let consumer = {
+        let q = Arc::clone(&q);
+        std::thread::spawn(move || {
+            let mut next = vec![0u64; PRODUCERS as usize];
+            let mut seen = 0;
+            while seen < PRODUCERS * PER_PRODUCER {
+                let batch = q.pop_batch(8);
+                assert!((1..=8).contains(&batch.len()), "batch of {}", batch.len());
+                for item in batch {
+                    let (p, i) = ((item >> 32) as usize, item & 0xFFFF_FFFF);
+                    assert_eq!(i, next[p], "producer {p} out of order");
+                    next[p] += 1;
+                    seen += 1;
+                }
+            }
+        })
+    };
+    wait_until("crowd drained", Duration::from_secs(30), || {
+        consumer.is_finished() && producers.iter().all(|h| h.is_finished())
+    });
+    consumer.join().unwrap();
+    for h in producers {
+        h.join().unwrap();
+    }
+    assert_eq!(q.depth(), 0);
 }
 
 /// Producers, consumers, and a mid-flight `close()` racing on one tiny
@@ -97,7 +144,7 @@ fn concurrent_close_loses_no_items() {
                     let got = if c == 0 {
                         q.pop().map(|_| 1).unwrap_or(0)
                     } else {
-                        q.pop_batch(8, Duration::from_millis(2)).len() as u64
+                        q.pop_batch(8).len() as u64
                     };
                     if got == 0 {
                         return; // closed and drained
@@ -162,7 +209,7 @@ fn close_wakes_both_condvars_at_once() {
             // the queue reports closed-and-drained.
             let mut total = 0u64;
             loop {
-                let batch = q.pop_batch(1, Duration::from_secs(30));
+                let batch = q.pop_batch(1);
                 if batch.is_empty() {
                     return total;
                 }

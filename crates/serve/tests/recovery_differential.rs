@@ -254,7 +254,18 @@ fn corrupt_newest_checkpoint_falls_back_to_an_older_one() {
             d.checkpoint_every_windows = 1;
         }
         let core = ServeCore::start(cfg);
-        let d = serve_all(&core, &reqs[..6]);
+        // A checkpoint that comes due while the previous one is still
+        // being written is skipped, and the writer runs behind the
+        // replies: let each one land before the next window rolls.
+        let mut d = HashMap::new();
+        for req in &reqs[..6] {
+            d.extend(serve_all(&core, std::slice::from_ref(req)));
+            let limit = std::time::Instant::now() + std::time::Duration::from_secs(30);
+            while core.durable_stats().checkpoints_written < d.len() as u64 {
+                assert!(std::time::Instant::now() < limit, "checkpoint never landed");
+                std::thread::sleep(std::time::Duration::from_millis(1));
+            }
+        }
         core.shutdown();
         d
     };
@@ -315,4 +326,93 @@ fn stale_tmp_checkpoint_is_ignored() {
     let core = ServeCore::start(config(&g, ModelKind::TGcn, 1, &dir));
     serve_all(&core, &reqs[4..]);
     core.shutdown();
+}
+
+/// `(stream, seq, digest)` of `windows`, in the order given.
+fn keys(windows: &[tagnn_serve::WindowResult]) -> Vec<(u64, u64, u64)> {
+    windows
+        .iter()
+        .map(|w| (w.stream, w.seq, w.digest))
+        .collect()
+}
+
+/// Recovery pipelines the WAL suffix with `queue_capacity` requests in
+/// flight. A suffix several times that long must replay completely, in
+/// log order, without admission shedding or rejecting a record — and
+/// the backlog is recovery's own, so it must neither widen the skip
+/// band (the default degradation policy is left on, and `max_batch = 1`
+/// keeps the backlog above its watermark) nor cut a checkpoint halfway
+/// (its WAL offsets would cover records the rollers have not seen: a
+/// second restart, here with nothing served in between, would lose
+/// them).
+#[test]
+fn long_wal_suffix_replays_pipelined_in_order() {
+    let g = graph();
+    let reqs = requests(&g, 6);
+    let cut = reqs.len() - 8;
+    let config_with = |dir: &ScratchDir, checkpoint_every_windows: u64| {
+        let mut cfg = config(&g, ModelKind::TGcn, 2, dir);
+        cfg.queue_capacity = 12;
+        cfg.max_batch = 1;
+        cfg.degradation = DegradationPolicy::default();
+        if let Some(d) = &mut cfg.durability {
+            d.checkpoint_every_windows = checkpoint_every_windows;
+        }
+        cfg
+    };
+    assert!(cut > 2 * 12, "the suffix must outrun the admission queue");
+
+    let baseline_dir = ScratchDir::new("long-base");
+    let baseline = {
+        let core = ServeCore::start(config_with(&baseline_dir, u64::MAX));
+        let d = serve_all(&core, &reqs);
+        core.shutdown();
+        d
+    };
+
+    // No checkpoint in the first life: the whole log is the suffix.
+    let dir = ScratchDir::new("long");
+    let served_in_order = {
+        let core = ServeCore::start(config_with(&dir, u64::MAX));
+        let mut windows = Vec::new();
+        for req in &reqs[..cut] {
+            let reply = core.submit(req.clone()).unwrap().wait().unwrap();
+            windows.extend(reply.windows);
+        }
+        core.shutdown();
+        keys(&windows)
+    };
+    // Replay order is log order: shard 0's WAL, then shard 1's.
+    let log_order: Vec<(u64, u64, u64)> = (0..2)
+        .flat_map(|shard| served_in_order.iter().filter(move |w| w.0 % 2 == shard))
+        .copied()
+        .collect();
+
+    // Two restarts back to back, now with a cadence short enough that a
+    // checkpoint comes due several times within the replay.
+    for life in 0..2 {
+        let core = ServeCore::start(config_with(&dir, 2));
+        let report = core.recovery_report().expect("durability on");
+        assert_eq!(report.replayed_requests, cut as u64, "life {life}");
+        assert_eq!(
+            keys(&report.replayed_windows),
+            log_order,
+            "life {life}: replay must re-serve the logged windows in log order"
+        );
+        let counters = core.recorder().snapshot().counters;
+        assert_eq!(counters.get("serve.recovery.rejected_requests"), None);
+        assert_eq!(core.shed_count(), 0, "replay must never be shed");
+        assert_eq!(core.max_degrade_level(), 0, "replay must not degrade");
+        if life == 0 {
+            core.shutdown();
+            continue;
+        }
+        let mut resumed: HashMap<(u64, u64), u64> = served_in_order
+            .iter()
+            .map(|&(stream, seq, digest)| ((stream, seq), digest))
+            .collect();
+        resumed.extend(serve_all(&core, &reqs[cut..]));
+        core.shutdown();
+        assert_eq!(resumed, baseline, "recovered digests diverge");
+    }
 }

@@ -200,7 +200,6 @@ fn overload_sheds_with_typed_error_and_recovers() {
     cfg.queue_capacity = 2;
     cfg.shards = 1;
     cfg.max_batch = 1;
-    cfg.max_delay_us = 50;
     let core = ServeCore::start(cfg);
 
     // Burst far past the queue depth without waiting for replies. Each
