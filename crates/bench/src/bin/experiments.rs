@@ -25,9 +25,10 @@
 //!                   dense, check served digests are bit-identical, and
 //!                   write both rows with their per-run dispatch-decision
 //!                   counts (--out, default BENCH_8.json)
-//!   overlap-bench   ablate the plan/execute overlap: time the engine
-//!                   with plans built inline vs the pipelined executor
-//!                   (--lookahead), check bit-identity, and write both
+//!   overlap-bench   ablate the batch plan/execute overlap: time the
+//!                   engine with plans built inline vs
+//!                   ConcurrentEngine::run_pipelined (--lookahead, the
+//!                   only overlap knob), check bit-identity, write both
 //!                   wall-clocks with the hidden-plan-time fraction
 //!                   (--out, default BENCH_9.json; --smoke skips the
 //!                   on-faster-than-off assertion)

@@ -42,7 +42,7 @@ pub struct CliOptions {
 /// Grammar:
 /// `experiments [all | <id>... | bench-json PATH] [--quick] [--json]
 /// [--trace PATH] [--threads N] [--scale F] [--hidden N] [--window K]
-/// [--snapshots N] [--seed N] [--overlap] [--lookahead N]`.
+/// [--snapshots N] [--seed N]`.
 ///
 /// `--threads` falls back to the `TAGNN_THREADS` environment variable
 /// when the flag is absent.
@@ -53,33 +53,12 @@ pub fn parse_args<I: Iterator<Item = String>>(args: I) -> CliOptions {
     let mut trace: Option<PathBuf> = None;
     let mut threads: Option<usize> = None;
     let mut bench_json: Option<PathBuf> = None;
-    let mut overlap = false;
-    let mut lookahead: Option<usize> = None;
     let mut overrides: Vec<(String, String)> = Vec::new();
     let mut iter = args.peekable();
     while let Some(a) = iter.next() {
         match a.as_str() {
             "--quick" => quick = true,
             "--json" => json = true,
-            "--overlap" => overlap = true,
-            "--lookahead" => {
-                let value = iter.next().unwrap_or_else(|| {
-                    eprintln!("error: --lookahead needs a depth");
-                    std::process::exit(2);
-                });
-                lookahead = Some(
-                    value
-                        .parse::<usize>()
-                        .ok()
-                        .filter(|&n| n > 0)
-                        .unwrap_or_else(|| {
-                            eprintln!(
-                                "error: --lookahead: wants a positive integer, got `{value}`"
-                            );
-                            std::process::exit(2);
-                        }),
-                );
-            }
             "--trace" => {
                 let value = iter.next().unwrap_or_else(|| {
                     eprintln!("error: --trace needs a path");
@@ -150,10 +129,6 @@ pub fn parse_args<I: Iterator<Item = String>>(args: I) -> CliOptions {
             _ => unreachable!(),
         }
     }
-    ctx.overlap = overlap;
-    if let Some(depth) = lookahead {
-        ctx.lookahead = depth;
-    }
     if threads.is_none() {
         if let Ok(env) = std::env::var("TAGNN_THREADS") {
             threads = Some(env.parse().unwrap_or_else(|_| {
@@ -178,8 +153,9 @@ pub fn parse_args<I: Iterator<Item = String>>(args: I) -> CliOptions {
 /// reported but non-fatal.
 ///
 /// With `TAGNN_PIN_THREADS=1` each rayon worker is pinned to the core
-/// matching its pool index (the overlap planner thread pins itself one
-/// core past the pool), which steadies bench numbers on idle multi-core
+/// matching its pool index (the batch planner thread of
+/// `ConcurrentEngine::run_pipelined_threaded` pins itself one core past
+/// the pool), which steadies bench numbers on idle multi-core
 /// hosts. Pinning requires an explicit `--threads`/`TAGNN_THREADS`
 /// width so the core assignment is deliberate.
 pub fn init_thread_pool(threads: Option<usize>) -> usize {

@@ -41,10 +41,8 @@ struct ServeArgs {
 fn parse(args: &[String], default_duration_s: f64) -> Result<ServeArgs, String> {
     let flags: HashMap<String, String> = parse_flags(args)?;
     for key in flags.keys() {
-        const KNOWN: [&str; 26] = [
+        const KNOWN: [&str; 24] = [
             "dispatch",
-            "overlap",
-            "lookahead",
             "addr",
             "dataset",
             "snapshots",
@@ -99,7 +97,6 @@ fn parse(args: &[String], default_duration_s: f64) -> Result<ServeArgs, String> 
     graph.seed = num(&flags, "seed", graph.seed)?;
 
     let incremental: u64 = num(&flags, "incremental", 1)?;
-    let overlap: u64 = num(&flags, "overlap", 0)?;
     let assignment_spelling = flags
         .get("shard-assignment")
         .map(String::as_str)
@@ -122,8 +119,6 @@ fn parse(args: &[String], default_duration_s: f64) -> Result<ServeArgs, String> 
         queue_capacity: num(&flags, "queue-capacity", 256)?,
         max_batch: num(&flags, "max-batch", 8)?,
         incremental_planning: incremental != 0,
-        overlap: overlap != 0,
-        lookahead: num(&flags, "lookahead", 1)?,
         durability: match flags.get("durable-dir") {
             Some(dir) => {
                 let mut d = tagnn_serve::DurabilityConfig::new(dir.as_str());
@@ -1027,20 +1022,19 @@ mod tests {
     }
 
     #[test]
-    fn parse_resolves_sparse_dataset_and_overlap_flags() {
+    fn parse_resolves_sparse_dataset_and_rejects_overlap_flags() {
         let a = parse(&args(&["--dataset", "sparse"]), 10.0).unwrap();
         assert_eq!(a.graph.num_vertices, 512);
         assert!(a.graph.feature_row_sparsity > 0.0);
         assert_eq!(a.serve.universe, a.graph.num_vertices);
-        assert!(!a.serve.overlap, "overlap is opt-in");
-        let a = parse(
-            &args(&["--dataset", "SP", "--overlap", "1", "--lookahead", "2"]),
-            10.0,
-        )
-        .unwrap();
+        let a = parse(&args(&["--dataset", "SP"]), 10.0).unwrap();
         assert!(a.graph.feature_row_sparsity > 0.0);
-        assert!(a.serve.overlap);
-        assert_eq!(a.serve.lookahead, 2);
+        for flag in ["--overlap", "--lookahead"] {
+            let err = parse(&args(&["--dataset", "SP", flag, "1"]), 10.0)
+                .err()
+                .expect("serving has no overlap knob");
+            assert!(err.contains("unknown flag"), "{flag}: {err}");
+        }
     }
 
     /// The dispatch A/B is only meaningful when the auto arm actually

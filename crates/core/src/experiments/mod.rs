@@ -58,13 +58,6 @@ pub struct ExperimentContext {
     /// counters. `None` (the default) leaves every run untraced and
     /// byte-identical to the pre-observability behaviour.
     pub recorder: Option<Arc<Recorder>>,
-    /// Run every pipeline this context builds through the software-
-    /// pipelined plan/execute overlap path (`--overlap`): a bounded-
-    /// lookahead planner thread builds window W+1 while window W
-    /// executes. Outputs are bit-identical either way.
-    pub overlap: bool,
-    /// Planner lookahead depth for the overlap path (`--lookahead`).
-    pub lookahead: usize,
 }
 
 impl Default for ExperimentContext {
@@ -79,8 +72,6 @@ impl Default for ExperimentContext {
             models: ModelKind::ALL.to_vec(),
             plan_cache: Arc::new(PlanCache::new()),
             recorder: None,
-            overlap: false,
-            lookahead: 1,
         }
     }
 }
@@ -99,8 +90,6 @@ impl ExperimentContext {
             models: vec![ModelKind::TGcn],
             plan_cache: Arc::new(PlanCache::new()),
             recorder: None,
-            overlap: false,
-            lookahead: 1,
         }
     }
 
@@ -122,9 +111,7 @@ impl ExperimentContext {
             .hidden(self.hidden)
             .scale(self.scale)
             .seed(self.seed)
-            .plan_cache(Arc::clone(&self.plan_cache))
-            .overlap(self.overlap)
-            .lookahead(self.lookahead);
+            .plan_cache(Arc::clone(&self.plan_cache));
         if let Some(rec) = &self.recorder {
             builder = builder.recorder(Arc::clone(rec));
         }

@@ -29,8 +29,6 @@ pub struct PipelineBuilder {
     seed: u64,
     plan_cache: Option<Arc<PlanCache>>,
     recorder: Option<Arc<Recorder>>,
-    overlap: bool,
-    lookahead: usize,
 }
 
 impl Default for PipelineBuilder {
@@ -48,8 +46,6 @@ impl Default for PipelineBuilder {
             seed: 0xD6,
             plan_cache: None,
             recorder: None,
-            overlap: false,
-            lookahead: 1,
         }
     }
 }
@@ -132,28 +128,6 @@ impl PipelineBuilder {
         self
     }
 
-    /// Enables plan/execute overlap: [`TagnnPipeline::run_concurrent`]
-    /// routes through the bounded-lookahead pipelined executor (a
-    /// background planner thread builds window W+1's plan while W
-    /// executes) instead of the plan-everything-then-run path. Output
-    /// bits are identical either way.
-    pub fn overlap(mut self, overlap: bool) -> Self {
-        self.overlap = overlap;
-        self
-    }
-
-    /// Planner lookahead depth (how many windows may be staged ahead of
-    /// execution before the planner blocks). Only meaningful with
-    /// [`Self::overlap`]; must be at least 1.
-    ///
-    /// # Panics
-    /// Panics if `lookahead == 0`.
-    pub fn lookahead(mut self, lookahead: usize) -> Self {
-        assert!(lookahead > 0, "lookahead must be at least 1");
-        self.lookahead = lookahead;
-        self
-    }
-
     /// Generates the graph, plans its windows, initialises the model, and
     /// measures the workload.
     pub fn build(self) -> TagnnPipeline {
@@ -205,8 +179,6 @@ impl PipelineBuilder {
             skip: self.skip,
             reuse: self.reuse,
             recorder: self.recorder,
-            overlap: self.overlap,
-            lookahead: self.lookahead,
             scratch: Arc::new(Mutex::new(Scratch::new())),
         }
     }
@@ -246,8 +218,6 @@ pub struct TagnnPipeline {
     skip: SkipConfig,
     reuse: ReuseMode,
     recorder: Option<Arc<Recorder>>,
-    overlap: bool,
-    lookahead: usize,
     scratch: Arc<Mutex<Scratch>>,
 }
 
@@ -286,8 +256,6 @@ impl TagnnPipeline {
             skip,
             reuse,
             recorder: None,
-            overlap: false,
-            lookahead: 1,
             scratch: Arc::new(Mutex::new(Scratch::new())),
         }
     }
@@ -352,22 +320,8 @@ impl TagnnPipeline {
         )
     }
 
-    /// Whether [`Self::run_concurrent`] routes through the pipelined
-    /// overlap executor.
-    pub fn overlap_enabled(&self) -> bool {
-        self.overlap
-    }
-
-    /// The planner lookahead depth the overlap path uses.
-    pub fn lookahead(&self) -> usize {
-        self.lookahead
-    }
-
-    /// Runs topology-aware concurrent inference (TaGNN's execution model).
-    /// Without overlap this executes over the prebuilt plans, reusing
-    /// the pipeline's scratch arena; with [`PipelineBuilder::overlap`]
-    /// it routes through [`Self::run_concurrent_pipelined`]. Both paths
-    /// produce the same bits.
+    /// Runs topology-aware concurrent inference (TaGNN's execution model)
+    /// over the prebuilt plans, reusing the pipeline's scratch arena.
     pub fn run_concurrent(&self) -> InferenceOutput {
         self.run_concurrent_with(self.skip)
     }
@@ -375,9 +329,6 @@ impl TagnnPipeline {
     /// Runs the concurrent engine with a different skipping configuration
     /// (the plans are skip-independent and reused as-is).
     pub fn run_concurrent_with(&self, skip: SkipConfig) -> InferenceOutput {
-        if self.overlap {
-            return self.run_concurrent_pipelined_with(skip, self.lookahead);
-        }
         let mut scratch = self.scratch.lock().expect("scratch arena poisoned");
         ConcurrentEngine::with_options(self.model.clone(), skip, self.window, self.reuse)
             .run_with_plans_scratch(
@@ -386,26 +337,6 @@ impl TagnnPipeline {
                 self.recorder.as_deref(),
                 &mut scratch,
             )
-    }
-
-    /// Runs concurrent inference through the bounded-lookahead pipelined
-    /// executor: a background planner thread re-derives each window's
-    /// plan (so there is genuine plan work to hide — the prebuilt plans
-    /// are deliberately not consulted) and prefetches its dispatch
-    /// inputs while the engine executes the previous window. Output is
-    /// bit-identical to [`Self::run_concurrent`] without overlap.
-    pub fn run_concurrent_pipelined(&self, lookahead: usize) -> InferenceOutput {
-        self.run_concurrent_pipelined_with(self.skip, lookahead)
-    }
-
-    /// [`Self::run_concurrent_pipelined`] under an explicit skip config.
-    pub fn run_concurrent_pipelined_with(
-        &self,
-        skip: SkipConfig,
-        lookahead: usize,
-    ) -> InferenceOutput {
-        ConcurrentEngine::with_options(self.model.clone(), skip, self.window, self.reuse)
-            .run_pipelined(&self.graph, self.recorder.as_deref(), lookahead)
     }
 
     /// Simulates the measured workload on an accelerator configuration,
@@ -482,21 +413,18 @@ mod tests {
 
     #[test]
     fn overlap_pipeline_matches_sequential_bits() {
-        let seq = pipeline();
-        let over = TagnnPipeline::builder()
-            .dataset(DatasetPreset::Gdelt)
-            .model(ModelKind::TGcn)
-            .snapshots(6)
-            .window(3)
-            .hidden(8)
-            .overlap(true)
-            .lookahead(2)
-            .build();
-        assert!(over.overlap_enabled());
-        let a = seq.run_concurrent();
-        let b = over.run_concurrent();
-        assert_eq!(a.final_features, b.final_features);
-        assert_eq!(a.gnn_outputs, b.gnn_outputs);
+        // The prebuilt-plan path must equal both overlap executors of
+        // the engine (planner thread and just-in-time) on the same graph.
+        let p = pipeline();
+        let engine = ConcurrentEngine::with_options(p.model.clone(), p.skip, p.window, p.reuse);
+        let a = p.run_concurrent();
+        for b in [
+            engine.run_pipelined_threaded(p.graph(), None, 2),
+            engine.run_just_in_time(p.graph(), None),
+        ] {
+            assert_eq!(a.final_features, b.final_features);
+            assert_eq!(a.gnn_outputs, b.gnn_outputs);
+        }
     }
 
     #[test]

@@ -71,6 +71,8 @@ impl WalWriter {
             .read(true)
             .write(true)
             .create(true)
+            // Reopened logs keep their records; only a torn tail is cut.
+            .truncate(false)
             .open(path)?;
         let recovery = scan_and_truncate(&mut file)?;
         file.seek(SeekFrom::Start(recovery.valid_len))?;

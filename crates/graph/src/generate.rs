@@ -243,7 +243,7 @@ impl GeneratorConfig {
     /// so legacy configs draw the exact historical RNG stream.
     fn effective_churn(&self, step: usize) -> ChurnConfig {
         match self.burst {
-            Some(b) if b.period > 0 && step % b.period == 0 => ChurnConfig {
+            Some(b) if b.period > 0 && step.is_multiple_of(b.period) => ChurnConfig {
                 feature_mutation_rate: (self.churn.feature_mutation_rate * b.feature_multiplier)
                     .min(1.0),
                 edge_rewire_rate: (self.churn.edge_rewire_rate * b.edge_multiplier).min(1.0),

@@ -36,7 +36,7 @@ use tagnn_tensor::affinity;
 use tagnn_tensor::dispatch::{DispatchMode, Dispatcher, Kernel, LayerChoice};
 use tagnn_tensor::kernels;
 use tagnn_tensor::similarity::{theta_score, CondensedDelta};
-use tagnn_tensor::{ops, DenseMatrix, Scratch, ScratchPair};
+use tagnn_tensor::{ops, DenseMatrix, Scratch};
 
 /// Per-vertex recurrent context: cell state plus the last input the cached
 /// pre-activation corresponds to.
@@ -974,6 +974,16 @@ impl ConcurrentEngine {
     /// executor regardless of core count (the differential tests do,
     /// so both paths stay pinned bit-identical everywhere).
     ///
+    /// Both executors stay because neither is dominated. On a 2-core
+    /// host under sysbench's pins (1 rayon thread, pinned cost model
+    /// and allocator), 10 alternating process pairs of 12 passes each,
+    /// lower-quartile windows/s: on `batch_churn` the planner thread won
+    /// 9 of 10 pairs, median 7.05 against 6.03 for just-in-time; on
+    /// `batch_stable` it won 8 of 10, median 6.62 against 6.26, a gap
+    /// inside the threaded runs' quartile spread (6.21–7.05). An
+    /// earlier 4-pair series on the same code had just-in-time winning
+    /// `batch_stable` 4 of 4, so that workload is unresolved.
+    ///
     /// Output is bit-identical to [`Self::run`] either way.
     ///
     /// # Panics
@@ -1199,8 +1209,8 @@ impl ConcurrentEngine {
     /// roller produces them) with outputs bit-identical to one offline
     /// [`Self::run`] over the concatenated windows.
     pub fn session(&self, num_vertices: usize) -> EngineSession {
-        let mut scratch = ScratchPair::new();
-        scratch.warm_with(|s| self.reserve_scratch(s, num_vertices));
+        let mut scratch = Scratch::new();
+        self.reserve_scratch(&mut scratch, num_vertices);
         EngineSession {
             ctxs: self.fresh_ctxs(num_vertices),
             engine: self.clone(),
@@ -1224,11 +1234,7 @@ impl ConcurrentEngine {
 pub struct EngineSession {
     engine: ConcurrentEngine,
     ctxs: Vec<VertexCtx>,
-    /// Double-buffered arenas: window W executes out of the front arena
-    /// while a serving-layer prefetcher may stage window W+1's
-    /// nonzero-row scan into the back one
-    /// ([`Self::process_window_prefetched`]); the pair swaps per window.
-    scratch: ScratchPair,
+    scratch: Scratch,
     stats: ExecutionStats,
     windows: u64,
     /// Association plan, pinned from the first window's first snapshot
@@ -1295,27 +1301,6 @@ impl EngineSession {
         plan: &WindowPlan,
         skip: SkipConfig,
     ) -> WindowOutput {
-        self.process_window_prefetched(snaps, plan, skip, None)
-    }
-
-    /// [`Self::process_window_with`] with an optionally prefetched
-    /// dispatch measurement: `nz_rows`, when given, is the ascending
-    /// nonzero-row list of the window's first-snapshot features (what
-    /// the engine's own scan would produce), staged by an overlap
-    /// sidecar off the execute thread. It is copied into the session's
-    /// back scratch arena, the pair swaps, and the engine skips its
-    /// scan — output and counters stay bit-identical to the unprefetched
-    /// call, which the serving integration suite pins.
-    ///
-    /// # Panics
-    /// As [`Self::process_window_with`].
-    pub fn process_window_prefetched(
-        &mut self,
-        snaps: &[&Snapshot],
-        plan: &WindowPlan,
-        skip: SkipConfig,
-        nz_rows: Option<&[u32]>,
-    ) -> WindowOutput {
         let started = std::time::Instant::now();
         let before = self.stats;
         let mut final_features = Vec::with_capacity(snaps.len());
@@ -1328,25 +1313,18 @@ impl EngineSession {
                 snap0,
             ));
         }
-        let prefetched = nz_rows.map(|rows| {
-            let buf = self.scratch.back_mut().nz_rows.take_uninit(self.ctxs.len());
-            buf[..rows.len()].copy_from_slice(rows);
-            rows.len()
-        });
-        // Ping-pong: the staged back arena becomes this window's front.
-        self.scratch.swap();
         self.engine.window_pass(
             snaps,
             plan,
             skip,
             self.choices.as_deref().unwrap_or(&[]),
             &mut self.ctxs,
-            self.scratch.front_mut(),
+            &mut self.scratch,
             &mut self.stats,
             None,
             &mut final_features,
             &mut gnn_outputs,
-            prefetched,
+            None,
         );
         self.scratch.debug_assert_steady();
         self.stats.wall_ns += started.elapsed().as_nanos() as u64;

@@ -99,17 +99,6 @@ pub struct ServeConfig {
     /// ready (bit-identical to scratch) when the window seals. Disable to
     /// force the plan-cache/scratch path on every window.
     pub incremental_planning: bool,
-    /// Run each worker's plan acquisition (cache lookup, incremental
-    /// seal accounting, cache-miss scratch builds) and dispatch-density
-    /// prefetch on a sidecar thread that stages up to `lookahead` items
-    /// ahead of the execute thread — the serving analogue of the
-    /// engines' plan/execute overlap. Served bits are identical either
-    /// way.
-    pub overlap: bool,
-    /// How many staged windows the overlap sidecar may run ahead of
-    /// execution (bounded-channel backpressure). Must be at least 1
-    /// when `overlap` is set.
-    pub lookahead: usize,
     /// Backlog-driven graceful degradation.
     pub degradation: DegradationPolicy,
     /// Write-ahead logging + checkpointing (`None` = in-memory only, the
@@ -137,8 +126,6 @@ impl Default for ServeConfig {
             max_batch: 8,
             plan_cache_capacity: 128,
             incremental_planning: true,
-            overlap: false,
-            lookahead: 1,
             degradation: DegradationPolicy::default(),
             durability: None,
         }
@@ -164,10 +151,6 @@ impl ServeConfig {
             "worker_queue_capacity must be positive"
         );
         assert!(self.max_batch > 0, "max_batch must be positive");
-        assert!(
-            !self.overlap || self.lookahead > 0,
-            "lookahead must be positive when overlap is enabled"
-        );
         if let Some(d) = &self.durability {
             assert!(d.group_commit > 0, "group_commit must be positive");
             assert!(

@@ -31,7 +31,7 @@ use tagnn_models::{
     ConcurrentEngine, DgnnModel, EngineSession, EngineState, SkipConfig, StatefulModel,
 };
 use tagnn_obs::Recorder;
-use tagnn_tensor::{DenseMatrix, DispatchMode, DispatchTally};
+use tagnn_tensor::{DenseMatrix, DispatchTally};
 
 use crate::config::{DurabilityConfig, ServeConfig};
 use crate::degrade::DegradationState;
@@ -713,8 +713,6 @@ impl ServeCore {
                 let universe = cfg.universe;
                 let window = cfg.window;
                 let incremental = cfg.incremental_planning;
-                let overlap = cfg.overlap;
-                let lookahead = cfg.lookahead;
                 std::thread::Builder::new()
                     .name(format!("tagnn-serve-shard-{i}"))
                     .spawn(move || {
@@ -730,8 +728,6 @@ impl ServeCore {
                                 universe,
                                 window,
                                 incremental,
-                                overlap,
-                                lookahead,
                             },
                             initial,
                         )
@@ -1279,8 +1275,6 @@ struct WorkerCtx<'a> {
     universe: usize,
     window: usize,
     incremental: bool,
-    overlap: bool,
-    lookahead: usize,
 }
 
 /// Obtains the plan for one rolled window: the incrementally sealed plan
@@ -1341,102 +1335,19 @@ fn emit_sessions(
 fn worker_loop(ctx: WorkerCtx<'_>, mut initial: HashMap<u64, EngineState>) {
     let planner = WindowPlanner::new(ctx.window);
     let mut sessions: HashMap<u64, EngineSession> = HashMap::new();
-    if !ctx.overlap {
-        while let Some(item) = ctx.queue.pop() {
-            match item {
-                WorkItem::Window(item) => {
-                    let (plan, plan_source) = obtain_plan(&ctx, &item, &planner);
-                    execute_item(
-                        &ctx,
-                        &mut sessions,
-                        &mut initial,
-                        item,
-                        &plan,
-                        plan_source,
-                        None,
-                    );
-                }
-                WorkItem::Checkpoint { seq } => emit_sessions(&ctx, &sessions, &initial, seq),
+    while let Some(item) = ctx.queue.pop() {
+        match item {
+            WorkItem::Window(item) => {
+                let (plan, plan_source) = obtain_plan(&ctx, &item, &planner);
+                execute_item(&ctx, &mut sessions, &mut initial, item, &plan, plan_source);
             }
+            WorkItem::Checkpoint { seq } => emit_sessions(&ctx, &sessions, &initial, seq),
         }
-        return;
     }
-
-    // Overlap mode: a plan sidecar stages (plan, density prefetch) for
-    // up to `lookahead` windows ahead of the execute thread — the
-    // serving analogue of the engine's ping-pong prefetch. The sidecar
-    // pops the shard queue (preserving per-stream FIFO: one sidecar, one
-    // ordered channel), does the plan acquisition and the nonzero-row
-    // scan there, and the bounded channel is the backpressure. Shutdown
-    // drains naturally: queue close → sidecar exits → sender drops →
-    // executor's recv errors out.
-    let auto = ctx.engine.dispatcher().mode() == DispatchMode::Auto;
-    enum Staged {
-        Window(WindowItem, Arc<WindowPlan>, PlanSource, Option<Vec<u32>>),
-        Checkpoint(u64),
-    }
-    let (tx, rx) = mpsc::sync_channel::<Staged>(ctx.lookahead);
-    std::thread::scope(|scope| {
-        let sidecar_ctx = &ctx;
-        scope.spawn(move || {
-            if tagnn_tensor::pinning_enabled() {
-                // Best effort: the highest core, away from compute
-                // workers pinned from core 0 upward.
-                let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
-                let _ = tagnn_tensor::pin_current_thread(cores - 1);
-            }
-            while let Some(item) = sidecar_ctx.queue.pop() {
-                // Checkpoint markers ride the same ordered channel, so
-                // the executor still sees them at their queue position.
-                let item = match item {
-                    WorkItem::Window(item) => item,
-                    WorkItem::Checkpoint { seq } => {
-                        if tx.send(Staged::Checkpoint(seq)).is_err() {
-                            return;
-                        }
-                        continue;
-                    }
-                };
-                let (plan, plan_source) = obtain_plan(sidecar_ctx, &item, &planner);
-                let nz = auto.then(|| {
-                    let snap0 = &item.window.graph.snapshots()[0];
-                    let n = snap0.num_vertices();
-                    let mut rows = Vec::with_capacity(n);
-                    for v in 0..n {
-                        if snap0.features().row(v).iter().any(|&x| x != 0.0) {
-                            rows.push(v as u32);
-                        }
-                    }
-                    rows
-                });
-                if tx
-                    .send(Staged::Window(item, plan, plan_source, nz))
-                    .is_err()
-                {
-                    return;
-                }
-            }
-        });
-        while let Ok(staged) = rx.recv() {
-            match staged {
-                Staged::Window(item, plan, plan_source, nz) => execute_item(
-                    &ctx,
-                    &mut sessions,
-                    &mut initial,
-                    item,
-                    &plan,
-                    plan_source,
-                    nz.as_deref(),
-                ),
-                Staged::Checkpoint(seq) => emit_sessions(&ctx, &sessions, &initial, seq),
-            }
-        }
-    });
 }
 
-/// Executes one staged window on its stream's session and completes the
-/// request when this was its last outstanding window. `nz_rows` is the
-/// sidecar's prefetched dispatch measurement (overlap mode only).
+/// Executes one window on its stream's session and completes the
+/// request when this was its last outstanding window.
 fn execute_item(
     ctx: &WorkerCtx<'_>,
     sessions: &mut HashMap<u64, EngineSession>,
@@ -1444,7 +1355,6 @@ fn execute_item(
     item: WindowItem,
     plan: &WindowPlan,
     plan_source: PlanSource,
-    nz_rows: Option<&[u32]>,
 ) {
     {
         let session = sessions.entry(item.stream).or_insert_with(|| {
@@ -1458,7 +1368,7 @@ fn execute_item(
             s
         });
         let refs: Vec<&_> = item.window.graph.snapshots().iter().collect();
-        let out = session.process_window_prefetched(&refs, plan, item.skip, nz_rows);
+        let out = session.process_window_with(&refs, plan, item.skip);
 
         ctx.dispatch_obs.add(&out.stats);
         let d = &out.stats.dispatch;
@@ -1606,30 +1516,6 @@ mod tests {
         assert_eq!(on_counts.scratch, 0, "got {on_counts:?}");
         assert_eq!(off_counts.incremental, 0, "got {off_counts:?}");
         assert_eq!(off_counts.scratch, 2, "got {off_counts:?}");
-    }
-
-    #[test]
-    fn overlap_mode_serves_identical_results() {
-        let strip = |ws: Vec<WindowResult>| {
-            ws.into_iter()
-                .map(|w| (w.seq, w.snapshots, w.digest, w.macs, w.skipped_cells))
-                .collect::<Vec<_>>()
-        };
-        let (seq, g) = tiny_core(|_| {});
-        let a = strip(replay(&seq, &g, 0));
-        seq.shutdown();
-        for lookahead in [1usize, 2] {
-            let (over, _) = tiny_core(|c| {
-                c.overlap = true;
-                c.lookahead = lookahead;
-            });
-            let b = strip(replay(&over, &g, 0));
-            over.shutdown();
-            assert_eq!(
-                a, b,
-                "overlap sidecar must not change served bits (lookahead {lookahead})"
-            );
-        }
     }
 
     #[test]

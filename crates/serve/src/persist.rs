@@ -728,7 +728,7 @@ mod tests {
         let mut session = engine.session(g.num_vertices());
         let refs: Vec<&Snapshot> = g.snapshots()[..3].iter().collect();
         let plan = tagnn_graph::WindowPlanner::new(3).plan_window(&refs, 0);
-        session.process_window_prefetched(&refs, &plan, SkipConfig::paper_default(), None);
+        session.process_window_with(&refs, &plan, SkipConfig::paper_default());
         let state = session.export_state();
         let bytes = encode_engine_state(&state);
         let back = decode_engine_state(&bytes).unwrap();

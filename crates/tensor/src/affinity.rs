@@ -1,9 +1,11 @@
-//! Opt-in thread placement for the plan/execute overlap subsystem.
+//! Opt-in thread placement for the batch plan/execute overlap.
 //!
 //! The paper's ping-pong prefetch assumes the preprocessing unit and the
 //! execution units are *distinct hardware*; the software analogue gets
-//! closest when the planner thread and the rayon compute workers sit on
-//! distinct cores instead of time-slicing one. Pinning is strictly
+//! closest when the batch planner thread (the one overlap thread, spawned
+//! by `ConcurrentEngine::run_pipelined_threaded` in `tagnn-models`) and
+//! the rayon compute workers sit on distinct cores instead of
+//! time-slicing one. Pinning is strictly
 //! opt-in via the `TAGNN_PIN_THREADS` environment variable (`1` or
 //! `true`): on shared CI runners or oversubscribed hosts, pinning can
 //! *hurt*, so the default is to leave placement to the scheduler.

@@ -727,56 +727,6 @@ impl Scratch {
     }
 }
 
-/// A ping-pong pair of [`Scratch`] arenas — the software analogue of the
-/// paper's double-buffered preprocessing memories. One arena is the
-/// *front* (the window currently executing); the other is the *back*
-/// (free for a prefetcher to stage the next window's inputs — e.g. the
-/// nonzero-row list the dispatch layer measures). [`Self::swap`] rotates
-/// the roles at a window boundary, so the executor always reads from an
-/// arena nothing else is writing.
-#[derive(Debug, Clone, Default)]
-pub struct ScratchPair {
-    bufs: [Scratch; 2],
-    front: usize,
-}
-
-impl ScratchPair {
-    /// A fresh pair of empty arenas.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// The arena backing the window currently executing.
-    pub fn front_mut(&mut self) -> &mut Scratch {
-        &mut self.bufs[self.front]
-    }
-
-    /// The idle arena, free for staging the next window.
-    pub fn back_mut(&mut self) -> &mut Scratch {
-        &mut self.bufs[1 - self.front]
-    }
-
-    /// Rotates the roles: the staged back arena becomes the front.
-    pub fn swap(&mut self) {
-        self.front = 1 - self.front;
-    }
-
-    /// Warms both arenas with the same reservation routine (each arena
-    /// must satisfy the steady-state contract independently).
-    pub fn warm_with(&mut self, mut reserve: impl FnMut(&mut Scratch)) {
-        for buf in &mut self.bufs {
-            reserve(buf);
-        }
-    }
-
-    /// Debug-asserts both arenas kept the steady-state contract.
-    pub fn debug_assert_steady(&self) {
-        for buf in &self.bufs {
-            buf.debug_assert_steady();
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

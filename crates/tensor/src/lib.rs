@@ -22,5 +22,5 @@ pub mod similarity;
 pub use activation::Activation;
 pub use affinity::{pin_current_thread, pinning_enabled};
 pub use dispatch::{DispatchMode, DispatchTally, Dispatcher, RowBitmap};
-pub use kernels::{Scratch, ScratchBuf, ScratchPair};
+pub use kernels::{Scratch, ScratchBuf};
 pub use matrix::DenseMatrix;

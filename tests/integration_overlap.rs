@@ -75,28 +75,27 @@ fn pipelined_is_bit_identical_for_every_model_kind() {
     }
 }
 
+/// The pipeline runs its prebuilt plans; both overlap executors of the
+/// engine, planning on the fly, must reproduce its bits and counters.
 #[test]
 fn overlap_pipeline_builder_routes_and_matches() {
-    let build = |overlap: bool| {
-        TagnnPipeline::builder()
-            .dataset(DatasetPreset::Gdelt)
-            .model(ModelKind::TGcn)
-            .snapshots(6)
-            .window(3)
-            .hidden(8)
-            .overlap(overlap)
-            .lookahead(2)
-            .build()
-    };
-    let plain = build(false);
-    let overlapped = build(true);
-    assert!(!plain.overlap_enabled());
-    assert!(overlapped.overlap_enabled());
-    assert_eq!(overlapped.lookahead(), 2);
-    let a = plain.run_concurrent();
-    let b = overlapped.run_concurrent();
-    assert_eq!(a.final_features, b.final_features);
-    assert_eq!(a.gnn_outputs, b.gnn_outputs);
+    let skip = SkipConfig::paper_default();
+    let p = TagnnPipeline::builder()
+        .dataset(DatasetPreset::Gdelt)
+        .model(ModelKind::TGcn)
+        .snapshots(6)
+        .window(3)
+        .hidden(8)
+        .skip(skip)
+        .reuse(ReuseMode::PaperWindow)
+        .build();
+    let engine =
+        ConcurrentEngine::with_options(p.model().clone(), skip, p.window(), ReuseMode::PaperWindow);
+    let plain = p.run_concurrent();
+    let threaded = engine.run_pipelined_threaded(p.graph(), None, 2);
+    assert_identical(&plain, &threaded, "pipeline vs threaded");
+    let jit = engine.run_just_in_time(p.graph(), None);
+    assert_identical(&plain, &jit, "pipeline vs jit");
 }
 
 /// The overlap path re-derives plans on the planner thread; its roofline

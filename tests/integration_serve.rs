@@ -345,60 +345,6 @@ fn served_results_are_shard_count_invariant() {
     }
 }
 
-/// The overlap sidecar (plan acquisition + dispatch prefetch staged off
-/// the execute thread) must serve the exact offline digests and MAC
-/// totals at every lookahead depth and shard count.
-#[test]
-fn overlap_serving_is_bit_identical_to_offline() {
-    let g = graph();
-    let offline = engine(&g).run(&g);
-    let offline_digests: Vec<u64> = offline
-        .final_features
-        .chunks(WINDOW)
-        .map(digest_matrices)
-        .collect();
-    let offline_macs =
-        offline.stats.gnn_aggregate_macs + offline.stats.gnn_combine_macs + offline.stats.rnn_macs;
-
-    for shards in [1usize, 2] {
-        for lookahead in [1usize, 2] {
-            let mut cfg = serve_config(&g);
-            cfg.shards = shards;
-            cfg.overlap = true;
-            cfg.lookahead = lookahead;
-            let core = ServeCore::start(cfg);
-            let per_snapshot = events_from_graph(&g);
-            let total = per_snapshot.len();
-            let mut served = Vec::new();
-            for (i, events) in per_snapshot.into_iter().enumerate() {
-                let reply = core
-                    .submit(InferRequest {
-                        stream: 0,
-                        events,
-                        flush: i + 1 == total,
-                    })
-                    .expect("no backlog in a closed loop")
-                    .wait()
-                    .expect("canonical trace is valid");
-                served.extend(reply.windows);
-            }
-            core.shutdown();
-
-            let digests: Vec<u64> = served.iter().map(|w| w.digest).collect();
-            assert_eq!(
-                digests, offline_digests,
-                "shards={shards} lookahead={lookahead}: overlap serving must \
-                 match the offline digests"
-            );
-            let macs: u64 = served.iter().map(|w| w.macs).sum();
-            assert_eq!(
-                macs, offline_macs,
-                "shards={shards} lookahead={lookahead}: MAC totals must match"
-            );
-        }
-    }
-}
-
 /// Binary wire round-trip over loopback TCP: the served digests seen by
 /// a real client over the default length-prefixed protocol match the
 /// offline run exactly (digests travel as raw u64, no precision loss).
